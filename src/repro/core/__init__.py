@@ -30,7 +30,7 @@ from .leapfrog import (
 )
 from .redundancy import (
     RedundancyOutcome,
-    build_conflict_graph,
+    conflict_graph_arrays,
     find_redundant_pairs,
     greedy_mis,
     remove_redundant_edges,
@@ -74,7 +74,7 @@ __all__ = [
     "RedundancyOutcome",
     "greedy_mis",
     "find_redundant_pairs",
-    "build_conflict_graph",
+    "conflict_graph_arrays",
     "remove_redundant_edges",
     "PhaseReport",
     "SpannerResult",

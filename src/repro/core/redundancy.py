@@ -13,7 +13,8 @@ hold (or both hold under the opposite endpoint pairing -- the metric
 that).  The weight proof (Theorem 13) *requires* that no mutually
 redundant pair survives, so the algorithm builds a conflict graph ``J``
 with one node per implicated edge, one ``J``-edge per redundant pair,
-computes an MIS ``I`` of ``J`` and deletes every implicated edge outside
+computes an MIS ``I`` of ``J`` (as CSR arrays, see
+:func:`conflict_graph_arrays`) and deletes every implicated edge outside
 ``I``.  Every deleted edge keeps a surviving counterpart (MIS maximality),
 preserving Theorem 10.
 """
@@ -34,7 +35,6 @@ __all__ = [
     "greedy_mis",
     "find_redundant_pairs",
     "find_redundant_pairs_reference",
-    "build_conflict_graph",
     "conflict_graph_arrays",
     "remove_redundant_edges",
 ]
@@ -42,8 +42,9 @@ __all__ = [
 Edge = tuple[int, int, float]
 EdgeKey = tuple[int, int]
 
-#: An MIS routine over an adjacency mapping ``node -> set of neighbors``.
-MISFunction = Callable[[dict[EdgeKey, set[EdgeKey]]], set[EdgeKey]]
+#: An MIS routine over a CSR adjacency ``(indptr, indices)`` on nodes
+#: ``0..k-1``, returning the kept node indices.
+MISFunction = Callable[[np.ndarray, np.ndarray], Iterable[int]]
 
 
 @dataclass(frozen=True)
@@ -58,28 +59,26 @@ class RedundancyOutcome:
         Edges retained (MIS members and unimplicated edges).
     num_pairs:
         Number of mutually redundant pairs found.
-    conflict_graph:
-        Adjacency of the conflict graph ``J`` (edge-keys as nodes).
     """
 
     removed: tuple[Edge, ...]
     kept: tuple[Edge, ...]
     num_pairs: int
-    conflict_graph: dict[EdgeKey, set[EdgeKey]]
 
 
-def greedy_mis(adjacency: dict[EdgeKey, set[EdgeKey]]) -> set[EdgeKey]:
-    """Sequential greedy MIS by node id (reference MIS implementation).
+def greedy_mis(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Sequential greedy MIS of a CSR adjacency, in node-index order.
 
-    Scans nodes in sorted order, taking a node iff none of its neighbors
-    was taken.  Output is maximal and independent; the distributed
-    algorithm substitutes a protocol-based MIS with the same contract.
+    Scans nodes ``0..k-1``, taking a node iff none of its neighbors was
+    taken, and returns the taken indices (ascending).  Output is maximal
+    and independent; the distributed algorithm substitutes a
+    protocol-based MIS with the same contract.
     """
-    chosen: set[EdgeKey] = set()
-    for node in sorted(adjacency):
-        if not adjacency[node] & chosen:
-            chosen.add(node)
-    return chosen
+    taken = np.zeros(len(indptr) - 1, dtype=bool)
+    for u in range(taken.size):
+        if not taken[indices[indptr[u] : indptr[u + 1]]].any():
+            taken[u] = True
+    return np.flatnonzero(taken)
 
 
 def _edge_key(edge: Edge) -> EdgeKey:
@@ -208,30 +207,16 @@ def find_redundant_pairs_reference(
     return pairs
 
 
-def build_conflict_graph(
-    pairs: Iterable[tuple[Edge, Edge]],
-) -> dict[EdgeKey, set[EdgeKey]]:
-    """Conflict graph ``J``: nodes are implicated edges, arcs are pairs."""
-    adjacency: dict[EdgeKey, set[EdgeKey]] = {}
-    for e1, e2 in pairs:
-        k1, k2 = _edge_key(e1), _edge_key(e2)
-        adjacency.setdefault(k1, set()).add(k2)
-        adjacency.setdefault(k2, set()).add(k1)
-    return adjacency
-
-
 def conflict_graph_arrays(
     pairs: Iterable[tuple[Edge, Edge]],
     num_vertices: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Conflict graph ``J`` as CSR arrays over sorted edge keys.
 
-    The dict-free twin of :func:`build_conflict_graph`: node ``i`` is
-    the ``i``-th implicated edge key in ascending ``(u, v)`` order --
-    exactly the relabeling ``repro.distributed.mis._normalize`` applies
-    to the mapping form -- so a protocol MIS over the returned CSR
-    selects the same keys, with the same round and message counts, as
-    the dict path (the equivalence suite pins this).
+    Nodes are implicated edges, arcs are redundant pairs: node ``i`` is
+    the ``i``-th implicated edge key in ascending ``(u, v)`` order, so an
+    MIS routine that scans nodes by index scans edge keys in sorted
+    order.
 
     Returns ``(key_u, key_v, indptr, indices)`` where ``(key_u[i],
     key_v[i])`` is node ``i``'s edge key and ``(indptr, indices)`` is
@@ -273,17 +258,24 @@ def remove_redundant_edges(
     """Delete a maximal independent set's complement from ``J``.
 
     Mutates ``spanner`` (removing the chosen edges) and reports the
-    outcome.  ``mis`` may be replaced by a distributed MIS with the same
-    contract.
+    outcome.  ``mis`` runs on the CSR form of ``J`` from
+    :func:`conflict_graph_arrays` (only when some pair exists) and may be
+    replaced by a distributed MIS with the same contract.
     """
     pairs = find_redundant_pairs(added, cluster_graph, t1, w_cur=w_cur)
-    adjacency = build_conflict_graph(pairs)
-    keep_keys = mis(adjacency) if adjacency else set()
+    key_u, key_v, indptr, indices = conflict_graph_arrays(
+        pairs, spanner.num_vertices
+    )
+    implicated = list(zip(key_u.tolist(), key_v.tolist()))
+    keep_keys = (
+        {implicated[i] for i in mis(indptr, indices)} if pairs else set()
+    )
+    implicated_set = set(implicated)
     removed: list[Edge] = []
     kept: list[Edge] = []
     for edge in added:
         key = _edge_key(edge)
-        if key in adjacency and key not in keep_keys:
+        if key in implicated_set and key not in keep_keys:
             spanner.remove_edge(edge[0], edge[1])
             removed.append(edge)
         else:
@@ -292,5 +284,4 @@ def remove_redundant_edges(
         removed=tuple(removed),
         kept=tuple(kept),
         num_pairs=len(pairs),
-        conflict_graph=adjacency,
     )

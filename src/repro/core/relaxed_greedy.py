@@ -1,4 +1,4 @@
-"""The sequential relaxed greedy spanner algorithm (Section 2).
+"""The relaxed greedy spanner algorithm (Section 2).
 
 This is the paper's central construction.  It runs in ``m + 1`` phases
 over the edge bins of :class:`repro.core.bins.EdgeBinning`:
@@ -17,34 +17,53 @@ over the edge bins of :class:`repro.core.bins.EdgeBinning`:
   5. removal of mutually redundant edges via an MIS of the conflict
      graph.
 
+:func:`run_phases` is the only copy of this build driver and five-step
+phase; the distributed builder of Section 3
+(:class:`repro.distributed.dist_spanner.DistributedRelaxedGreedy`) runs
+it too.  Section 3 is Section 2 with each sequential subroutine swapped
+for a local protocol, so a builder plugs in three callables: a cover
+step (ball growing here), a conflict-MIS step over the CSR of
+:func:`repro.core.redundancy.conflict_graph_arrays` (a greedy MIS in
+index order here) and a round-charge hook (a no-op here).
+Maintenance's local repair keeps its own phase: its step 4 runs a
+target-directed Dijkstra per query on the live spanner, not a batch
+over a frozen cluster graph (measured 2-5x faster there).
+
 The output satisfies Theorems 10/11/13: stretch ``t``, constant maximum
 degree, and weight ``O(w(MST))``.
 
-Empty bins are skipped outright (their phases would do no work); phase
-statistics record both scheduled and executed phases so the distributed
+Empty bins are skipped unless the caller asks for the paper's fixed
+schedule; phase statistics record executed phases, so the distributed
 round accounting can reflect either convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
+
+import numpy as np
 
 from ..exceptions import GraphError
 from ..graphs.graph import Graph
 from ..params import SpannerParams
 from .bins import EdgeBinning
-from .cluster_graph import (
-    ClusterGraph,
-    answer_spanner_queries,
-    build_cluster_graph,
-)
+from .cluster_graph import answer_spanner_queries, build_cluster_graph
 from .cover import ClusterCover, build_cluster_cover
 from .covered import DistanceOracle, split_covered
-from .redundancy import MISFunction, greedy_mis, remove_redundant_edges
+from .redundancy import greedy_mis, remove_redundant_edges
 from .selection import select_query_edges
 from .short_edges import process_short_edges
 
-__all__ = ["PhaseReport", "SpannerResult", "RelaxedGreedySpanner", "build_spanner"]
+__all__ = [
+    "PhaseReport", "SpannerResult", "RelaxedGreedySpanner", "build_spanner",
+    "run_phases",
+]
+
+Edge = tuple[int, int, float]
+CoverStep = Callable[[Graph, float, int], ClusterCover]
+ConflictMIS = Callable[[np.ndarray, np.ndarray, int], Iterable[int]]
+ChargeHook = Callable[..., None]
 
 
 @dataclass(frozen=True)
@@ -107,8 +126,8 @@ class SpannerResult:
     num_bins:
         Total number of bins ``m`` (scheduled phases is ``m + 1``).
     probe_cache:
-        Hit/miss counters of the dense-vs-sparse probe-outcome cache
-        accumulated over the build (base graph + partial spanner; see
+        Hit/miss counters of the spanner's dense-vs-sparse probe-outcome
+        cache accumulated over the build (see
         :func:`repro.graphs.paths.prefer_batched_sources`).
     """
 
@@ -172,10 +191,6 @@ class RelaxedGreedySpanner:
     params:
         Validated parameter bundle (see
         :meth:`repro.params.SpannerParams.from_epsilon`).
-    mis:
-        MIS routine for redundancy elimination; the default is the
-        sequential greedy MIS, the distributed algorithm passes its
-        protocol-backed MIS.
     check_clique:
         Forwarded to phase 0's Lemma 1 validation.
     use_covered_filter:
@@ -202,13 +217,11 @@ class RelaxedGreedySpanner:
         self,
         params: SpannerParams,
         *,
-        mis: MISFunction = greedy_mis,
         check_clique: bool = True,
         use_covered_filter: bool = True,
         use_redundancy_removal: bool = True,
     ) -> None:
         self.params = params
-        self._mis = mis
         self._check_clique = check_clique
         self._use_covered_filter = use_covered_filter
         self._use_redundancy = use_redundancy_removal
@@ -233,94 +246,156 @@ class RelaxedGreedySpanner:
         SpannerResult
             Final spanner plus per-phase statistics.
         """
-        params = self.params
-        n = graph.num_vertices
-        if n == 0:
-            return SpannerResult(Graph(0), params)
-        max_len = graph.max_edge_weight()
-        if max_len > 1.0 + 1e-9:
-            raise GraphError(
-                f"alpha-UBG edges must have length <= 1, found {max_len:.6g}; "
-                "rescale the instance"
-            )
-        binning = EdgeBinning.for_params(params, n)
-        bins = binning.assign(graph.edges())
-        result = SpannerResult(
-            Graph(n), params, num_bins=binning.num_bins
+        result = SpannerResult(Graph(graph.num_vertices), self.params)
+        result.spanner = run_phases(
+            result,
+            graph,
+            dist,
+            cover=_greedy_cover,
+            conflict_mis=_greedy_conflict_mis,
+            check_clique=self._check_clique,
+            use_covered_filter=self._use_covered_filter,
+            use_redundancy_removal=self._use_redundancy,
         )
-        base_probe = graph.probe_cache_stats()
-
-        # ---- phase 0 ------------------------------------------------
-        short = bins.pop(0, [])
-        outcome = process_short_edges(
-            graph, short, dist, params.t, check_clique=self._check_clique
-        )
-        spanner = outcome.spanner
-        if short:
-            result.phases.append(
-                PhaseReport(
-                    index=0,
-                    w_prev=0.0,
-                    w_cur=binning.boundary(0),
-                    num_bin_edges=len(short),
-                    num_added=spanner.num_edges,
-                )
-            )
-
-        # ---- phases 1..m --------------------------------------------
-        for i in sorted(bins):
-            report = self._run_phase(
-                spanner, bins[i], i, binning, dist
-            )
-            result.phases.append(report)
-
-        result.spanner = spanner
-        base_after = graph.probe_cache_stats()
-        span_probe = spanner.probe_cache_stats()
-        result.probe_cache = {
-            key: span_probe[key] + base_after[key] - base_probe[key]
-            for key in ("hits", "misses")
-        }
+        result.probe_cache = result.spanner.probe_cache_stats()
         return result
 
-    # ------------------------------------------------------------------
-    def _run_phase(
-        self,
-        spanner: Graph,
-        bin_edges: list[tuple[int, int, float]],
-        index: int,
-        binning: EdgeBinning,
-        dist: DistanceOracle,
-    ) -> PhaseReport:
-        """Execute the five steps of one long-edge phase, mutating
-        ``spanner`` in place."""
-        params = self.params
+
+def _greedy_cover(spanner: Graph, radius: float, index: int) -> ClusterCover:
+    return build_cluster_cover(spanner, radius)
+
+
+def _greedy_conflict_mis(
+    indptr: np.ndarray, indices: np.ndarray, index: int
+) -> np.ndarray:
+    return greedy_mis(indptr, indices)
+
+
+def _no_charge(*args, **kwargs) -> None:
+    """Charge hook of a build that keeps no round ledger."""
+
+
+# ----------------------------------------------------------------------
+def run_phases(
+    result: SpannerResult,
+    graph: Graph,
+    dist: DistanceOracle,
+    *,
+    cover: CoverStep,
+    conflict_mis: ConflictMIS,
+    charge: ChargeHook = _no_charge,
+    gather_short: Callable[[list[Edge]], None] | None = None,
+    every_phase: bool = False,
+    check_clique: bool = True,
+    use_covered_filter: bool = True,
+    use_redundancy_removal: bool = True,
+) -> Graph:
+    """Run phases ``0..m`` on ``graph``, mutating one spanner, and return it.
+
+    Checks the alpha-UBG length bound, bins the edges, runs phase 0 and
+    then the five steps per bin: every bin ``1..m`` when
+    ``every_phase`` (the paper's fixed schedule), else the non-empty
+    ones.  ``result`` receives ``num_bins`` and one :class:`PhaseReport`
+    per executed phase.
+
+    The plugged steps: ``cover(spanner, radius, index)`` returns step
+    (i)'s cover; ``conflict_mis(indptr, indices, index)`` returns the
+    kept nodes of step (v)'s conflict graph; ``charge`` (the
+    ``RoundLedger.charge`` signature) bills the gathers of steps
+    (ii)--(v); ``gather_short(short_edges)`` runs before phase 0's
+    node-local computation.
+    """
+    params = result.params
+    n = graph.num_vertices
+    if n == 0:
+        return Graph(0)
+    max_len = graph.max_edge_weight()
+    if max_len > 1.0 + 1e-9:
+        raise GraphError(
+            f"alpha-UBG edges must have length <= 1, found {max_len:.6g}; "
+            "rescale the instance"
+        )
+    binning = EdgeBinning.for_params(params, n)
+    bins = binning.assign(graph.edges())
+    result.num_bins = binning.num_bins
+
+    # ---- phase 0 ----------------------------------------------------
+    short = bins.pop(0, [])
+    spanner = Graph(n)
+    if short:
+        if gather_short is not None:
+            gather_short(short)
+        spanner = process_short_edges(
+            graph, short, dist, params.t, check_clique=check_clique
+        ).spanner
+        result.phases.append(
+            PhaseReport(
+                index=0,
+                w_prev=0.0,
+                w_cur=binning.boundary(0),
+                num_bin_edges=len(short),
+                num_added=spanner.num_edges,
+            )
+        )
+
+    # ---- phases 1..m: the five steps -------------------------------
+    for index in range(1, binning.num_bins + 1) if every_phase else sorted(bins):
+        bin_edges = bins.get(index, [])
         w_prev = binning.boundary(index - 1)
         w_cur = binning.boundary(index)
 
         # Step (i): cluster cover of G'_{i-1}.
-        cover: ClusterCover = build_cluster_cover(
-            spanner, params.delta * w_prev
-        )
+        clusters = cover(spanner, params.delta * w_prev, index)
+        if len(clusters.assignment) < n:
+            # Nodes outside the cover (crashed under a fault plan) take
+            # their pending bin edges with them.
+            assigned = clusters.assignment
+            bin_edges = [
+                e for e in bin_edges if e[0] in assigned and e[1] in assigned
+            ]
+        if not bin_edges:
+            # Scheduled-but-empty phase: only the cover schedule ran.
+            result.phases.append(
+                PhaseReport(
+                    index=index,
+                    w_prev=w_prev,
+                    w_cur=w_cur,
+                    num_bin_edges=0,
+                    num_clusters=clusters.num_clusters,
+                )
+            )
+            continue
+        k_cluster = params.cluster_hop_bound(index, n)
+        k_graph = params.cluster_graph_hop_bound(index, n)
+        k_query = params.query_hop_bound()
 
-        # Step (ii): covered-edge filter + query selection.
-        if self._use_covered_filter:
+        # Step (ii): covered-edge filter + query selection (Theorem 17).
+        if use_covered_filter:
             candidates, covered = split_covered(
                 bin_edges, spanner, dist,
                 alpha=params.alpha, theta=params.theta,
             )
         else:
             candidates, covered = list(bin_edges), []
-        selection = select_query_edges(candidates, cover, params.t)
-
-        # Step (iii): cluster graph H_{i-1}.
-        cluster_graph: ClusterGraph = build_cluster_graph(
-            spanner, cover, w_prev, params.delta
+        selection = select_query_edges(candidates, clusters, params.t)
+        charge(
+            index,
+            "select.gather",
+            1 + k_cluster,
+            detail="cluster heads view E_i[Ca,*]",
         )
 
-        # Step (iv): shortest-path queries on H, answered as one batch
-        # against the frozen cluster graph.
-        added: list[tuple[int, int, float]] = []
+        # Step (iii): cluster graph H_{i-1} (Theorem 18).
+        cluster_graph = build_cluster_graph(
+            spanner, clusters, w_prev, params.delta
+        )
+        charge(
+            index, "hgraph.gather", k_graph, detail=f"G' within {k_graph} hops"
+        )
+
+        # Step (iv): shortest-path queries on H (Theorem 19), answered as
+        # one batch against the frozen cluster graph.
+        added: list[Edge] = []
         queries = selection.edges()
         for (x, y, length), joins in zip(
             queries, answer_spanner_queries(cluster_graph, queries, params.t)
@@ -328,37 +403,46 @@ class RelaxedGreedySpanner:
             if joins:
                 spanner.add_edge(x, y, length)
                 added.append((x, y, length))
+        charge(
+            index,
+            "query.gather",
+            k_query,
+            detail=f"Theorem 9 bound {k_query} hops",
+        )
 
-        # Step (v): redundancy elimination.
-        if self._use_redundancy:
+        # Step (v): redundancy elimination (Theorem 21).
+        num_removed = 0
+        if use_redundancy_removal:
             outcome = remove_redundant_edges(
                 spanner,
                 added,
                 cluster_graph,
                 params.t1,
                 w_cur=w_cur,
-                mis=self._mis,
+                mis=lambda indptr, nbrs: conflict_mis(indptr, nbrs, index),
             )
             num_removed = len(outcome.removed)
-        else:
-            num_removed = 0
+            charge(index, "redundant.gather", k_query, detail="pair discovery")
 
-        return PhaseReport(
-            index=index,
-            w_prev=w_prev,
-            w_cur=w_cur,
-            num_bin_edges=len(bin_edges),
-            num_covered=len(covered),
-            num_candidates=len(candidates),
-            num_clusters=cover.num_clusters,
-            num_queries=len(selection.queries),
-            max_queries_per_cluster=selection.max_queries_per_cluster,
-            num_added=len(added),
-            num_removed=num_removed,
-            num_intra_edges=cluster_graph.num_intra_edges,
-            num_inter_edges=cluster_graph.num_inter_edges,
-            inter_center_degree=cluster_graph.inter_center_degree(),
+        result.phases.append(
+            PhaseReport(
+                index=index,
+                w_prev=w_prev,
+                w_cur=w_cur,
+                num_bin_edges=len(bin_edges),
+                num_covered=len(covered),
+                num_candidates=len(candidates),
+                num_clusters=clusters.num_clusters,
+                num_queries=len(selection.queries),
+                max_queries_per_cluster=selection.max_queries_per_cluster,
+                num_added=len(added),
+                num_removed=num_removed,
+                num_intra_edges=cluster_graph.num_intra_edges,
+                num_inter_edges=cluster_graph.num_inter_edges,
+                inter_center_degree=cluster_graph.inter_center_degree(),
+            )
         )
+    return spanner
 
 
 def build_spanner(

@@ -1,17 +1,26 @@
 """Distributed relaxed greedy spanner (Section 3 of the paper).
 
-The distributed algorithm runs the same ``O(log n)`` phases as the
-sequential one; per phase it spends
+Section 3 is Section 2 with each sequential subroutine swapped for a
+local protocol, so this builder runs the sequential builder's driver and
+five-step phase, :func:`repro.core.relaxed_greedy.run_phases`, and plugs
+in:
 
-* ``O(1)`` rounds of k-hop gathering for query selection, cluster-graph
-  construction and query answering (Theorems 17, 18, 19),
-* one MIS invocation on the cover proximity graph ``J`` (Theorem 16,
-  Lemma 15) and one on the redundancy conflict graph (Theorem 21,
-  Lemma 20),
+* a **cover** step: the proximity graph ``J`` of the partial spanner,
+  its MIS by the Luby protocol (sharded when ``jobs > 1``; on the event
+  tier with center promotion under a ``FaultPlan``), then
+  :func:`repro.core.cover.cover_from_centers` (Theorem 16, Lemma 15);
+* a **conflict-MIS** step: Luby on the redundancy conflict graph
+  (event-tier Luby with a crash-free plan under a ``FaultPlan``;
+  Theorem 21, Lemma 20);
+* its :class:`RoundLedger` as the **charge** hook, billed ``O(1)``
+  rounds of k-hop gathering for query selection, cluster-graph
+  construction and query answering (Theorems 17, 18, 19).
 
-for a total of ``O(log n * R_MIS)`` rounds -- ``O(log n * log* n)`` with
-the Kuhn et al. MIS of the paper, ``O(log n * log n)`` w.h.p. with the
-Luby protocol this reproduction substitutes (see DESIGN.md).
+This module keeps those strategies, the phase-0 flooding exchange, the
+fault pruning and the final repair sweep.  The total is
+``O(log n * R_MIS)`` rounds -- ``O(log n * log* n)`` with the Kuhn et
+al. MIS of the paper, ``O(log n * log n)`` w.h.p. with the Luby protocol
+this reproduction substitutes (see DESIGN.md).
 
 Execution model of this implementation:
 
@@ -23,8 +32,7 @@ Execution model of this implementation:
   engine's *batch tier* steps every node of a round at once over CSR
   mailbox arrays, so these runs -- and the phase-0 flooding below -- scale
   to ``n >= 10^4`` while billing the exact same rounds and messages as
-  the per-node reference tier (``engine="auto"`` selects it whenever the
-  protocol supports it, which all hot protocols here do);
+  the per-node reference tier;
 * **phase 0 is a real message-level run** of 1-hop flooding followed by
   identical node-local computations (Theorem 14);
 * **k-hop gathers of later phases are charged to the ledger at their
@@ -42,23 +50,13 @@ MIS draws) but the test-suite checks both against identical bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from functools import partial
 
 import numpy as np
 
-from ..core.bins import EdgeBinning
-from ..core.cluster_graph import answer_spanner_queries, build_cluster_graph
-from ..core.cover import cover_from_centers
-from ..core.covered import DistanceOracle, split_covered
-from ..core.redundancy import (
-    build_conflict_graph,
-    conflict_graph_arrays,
-    find_redundant_pairs,
-)
-from ..core.relaxed_greedy import PhaseReport
-from ..core.selection import select_query_edges
-from ..core.short_edges import process_short_edges
-from ..exceptions import GraphError
+from ..core.cover import ClusterCover, cover_from_centers
+from ..core.covered import DistanceOracle
+from ..core.relaxed_greedy import SpannerResult, run_phases
 from ..graphs.graph import Graph
 from ..graphs.paths import (
     multi_source_ball_lists,
@@ -71,7 +69,7 @@ from ..params import SpannerParams
 from .engine import SynchronousNetwork
 from .faults import FaultPlan
 from .ledger import RoundLedger
-from .mis import _normalize, run_luby_mis_arrays
+from .mis import run_luby_mis_arrays
 from .protocols.flooding import KHopGather
 from .unreliable import induced_csr, run_luby_mis_event
 
@@ -79,22 +77,16 @@ __all__ = ["DistributedSpannerResult", "DistributedRelaxedGreedy"]
 
 
 @dataclass
-class DistributedSpannerResult:
+class DistributedSpannerResult(SpannerResult):
     """Output of a distributed build.
+
+    Extends :class:`repro.core.relaxed_greedy.SpannerResult` (spanner,
+    params, per-phase statistics, bin count, probe-cache counters) with:
 
     Attributes
     ----------
-    spanner:
-        The constructed spanner ``G'``.
-    params:
-        Parameter bundle used.
     ledger:
         Full round/message accounting (see :class:`RoundLedger`).
-    phases:
-        Per-executed-phase statistics (same schema as the sequential
-        result for easy comparison).
-    num_bins:
-        Bin count ``m``; scheduled phases are ``m + 1``.
     mis_invocations:
         Number of protocol-backed MIS runs.
     crashed:
@@ -107,24 +99,15 @@ class DistributedSpannerResult:
         sweep after crashes severed spanner paths.
     final_time:
         Event-simulation clock when the last protocol run drained.
-    probe_cache:
-        Hit/miss counters of the partial spanner's dense-vs-sparse
-        probe-outcome cache (see
-        :func:`repro.graphs.paths.prefer_batched_sources`).
     """
 
-    spanner: Graph
-    params: SpannerParams
-    ledger: RoundLedger
-    phases: list[PhaseReport] = field(default_factory=list)
-    num_bins: int = 0
+    ledger: RoundLedger = field(default_factory=RoundLedger)
     mis_invocations: int = 0
     crashed: tuple = ()
     retransmissions: int = 0
     recovery_rounds: int = 0
     repair_edges: int = 0
     final_time: float = 0.0
-    probe_cache: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_rounds(self) -> int:
@@ -147,12 +130,6 @@ class DistributedRelaxedGreedy:
         paper's fixed global schedule; when false (default) empty phases
         are skipped, matching a practical implementation where nodes
         with no work stay silent.
-    measure_gather_messages:
-        When true, the per-phase cover gather is executed as a *real*
-        flooding protocol (every node floods its incident partial-spanner
-        edges for the phase's hop radius) so the ledger carries measured
-        message counts for the gather term too, not just for the MIS
-        protocols.  Costs a KHopGather engine run per phase; default off.
     jobs:
         Worker-process budget for the cover MIS runs: when ``jobs > 1``
         the proximity-graph Luby protocol executes on the sharded batch
@@ -168,20 +145,15 @@ class DistributedRelaxedGreedy:
         used -- identical output either way.
     fault_plan:
         When set, every MIS invocation runs on the *event tier*
-        (:mod:`repro.distributed.unreliable`) under this plan, sharing
-        one crash timeline across phases: the simulation clock advances
-        run by run, nodes down at a phase's start are excluded from its
-        proximity graph and bin edges, crashed nodes' spanner edges are
-        pruned, their clusters re-covered by promoted centers, and a
-        final re-certification sweep restores the stretch bound on the
-        surviving subgraph.  A zero-fault plan reproduces the default
+        (:mod:`repro.distributed.unreliable`, batched timer-wheel engine)
+        under this plan, sharing one crash timeline across phases: the
+        simulation clock advances run by run, nodes down at a phase's
+        start are excluded from its proximity graph and cover (so the
+        shared phase drops their bin edges), crashed nodes' spanner
+        edges are pruned, their clusters re-covered by promoted centers,
+        and a final re-certification sweep restores the stretch bound on
+        the surviving subgraph.  A zero-fault plan reproduces the default
         build exactly (pinned by the test-suite).
-    fault_engine:
-        Event-tier execution path for the fault runs: ``"auto"``
-        (default, the batched timer-wheel engine), ``"batch"`` or
-        ``"scalar"``.  The batch wheel is pinned bit-equal to the scalar
-        heap, so this knob only affects wall time -- it is what lets
-        ``fault_plan`` builds reach ``n >= 10^4``.
     """
 
     def __init__(
@@ -190,18 +162,14 @@ class DistributedRelaxedGreedy:
         *,
         seed: int = 0,
         process_empty_phases: bool = False,
-        measure_gather_messages: bool = False,
         fault_plan: FaultPlan | None = None,
-        fault_engine: str = "auto",
         jobs: int = 1,
         points=None,
     ) -> None:
         self.params = params
         self._seed = seed
         self._process_empty = process_empty_phases
-        self._measure_gather = measure_gather_messages
         self._fault_plan = fault_plan
-        self._fault_engine = fault_engine
         self._jobs = max(1, int(jobs))
         self._points = points
         self._partition: np.ndarray | None = None
@@ -231,39 +199,23 @@ class DistributedRelaxedGreedy:
         Parameters mirror
         :meth:`repro.core.relaxed_greedy.RelaxedGreedySpanner.build`.
         """
-        params = self.params
-        n = graph.num_vertices
-        ledger = RoundLedger()
-        result = DistributedSpannerResult(
-            spanner=Graph(n), params=params, ledger=ledger
-        )
+        result = DistributedSpannerResult(Graph(graph.num_vertices), self.params)
+        ledger = result.ledger
         self._clock = 0.0
-        if n == 0:
-            return result
-        max_len = graph.max_edge_weight()
-        if max_len > 1.0 + 1e-9:
-            raise GraphError(
-                f"alpha-UBG edges must have length <= 1, found {max_len:.6g}"
-            )
-        binning = EdgeBinning.for_params(params, n)
-        bins = binning.assign(graph.edges())
-        result.num_bins = binning.num_bins
-
-        spanner = self._phase_zero(
-            graph, bins.pop(0, []), dist, ledger, result
+        spanner = run_phases(
+            result,
+            graph,
+            dist,
+            cover=partial(
+                self._cover if self._fault_plan is None else self._cover_event,
+                result,
+            ),
+            conflict_mis=partial(self._conflict_mis, result),
+            charge=ledger.charge,
+            gather_short=partial(self._gather_short, graph, ledger),
+            every_phase=self._process_empty,
+            check_clique=False,
         )
-
-        phase_indices = (
-            range(1, binning.num_bins + 1) if self._process_empty else sorted(bins)
-        )
-        for i in phase_indices:
-            bin_edges = bins.get(i, [])
-            report = self._phase(
-                graph, spanner, bin_edges, i, binning, dist, ledger, result
-            )
-            if report is not None:
-                result.phases.append(report)
-
         if self._fault_plan is not None:
             self._finalize_faults(graph, spanner, result)
         result.spanner = spanner
@@ -335,24 +287,21 @@ class DistributedRelaxedGreedy:
             )
 
     # ------------------------------------------------------------------
-    def _phase_zero(
-        self,
+    @staticmethod
+    def _gather_short(
         graph: Graph,
-        short_edges: list[tuple[int, int, float]],
-        dist: DistanceOracle,
         ledger: RoundLedger,
-        result: DistributedSpannerResult,
-    ) -> Graph:
-        """Theorem 14: process ``E_0`` in O(1) real message rounds.
+        short_edges: list[tuple[int, int, float]],
+    ) -> None:
+        """Theorem 14: the 1-hop ``E_0`` exchange, in real message rounds.
 
         Every node floods its incident short edges one hop; each node
         then knows the full topology of its ``G_0`` component (Lemma 1
-        puts the component inside its closed neighborhood), computes the
-        same deterministic clique spanner, and keeps its incident edges.
-        One more round announces kept edges to neighbors.
+        puts the component inside its closed neighborhood) and computes
+        the same deterministic clique spanner -- evaluated once by the
+        shared phase 0 -- keeping its incident edges.  One more round
+        announces kept edges to neighbors.
         """
-        if not short_edges:
-            return Graph(graph.num_vertices)
         facts = {u: set() for u in graph.vertices()}
         for u, v, w in short_edges:
             facts[u].add((u, v, w))
@@ -367,22 +316,6 @@ class DistributedRelaxedGreedy:
             detail="1-hop E_0 exchange",
         )
         ledger.charge(0, "short.announce", 1, detail="announce kept edges")
-        # Node-local computation (identical at every member of a
-        # component, since all see the same facts -- verified in tests):
-        # evaluated once via the shared subroutine.
-        outcome = process_short_edges(
-            graph, short_edges, dist, self.params.t, check_clique=False
-        )
-        result.phases.append(
-            PhaseReport(
-                index=0,
-                w_prev=0.0,
-                w_cur=self.params.w0(graph.num_vertices),
-                num_bin_edges=len(short_edges),
-                num_added=outcome.spanner.num_edges,
-            )
-        )
-        return outcome.spanner
 
     # ------------------------------------------------------------------
     def _proximity_graph(
@@ -440,35 +373,73 @@ class DistributedRelaxedGreedy:
         )
         return indptr, keys % np.int64(n)
 
-    def _cover_mis_event(
+    def _cover(
         self,
-        plan: FaultPlan,
-        prox_indptr: np.ndarray,
-        prox_indices: np.ndarray,
-        dead: set[int],
-        index: int,
-        k_cluster: int,
+        result: DistributedSpannerResult,
         spanner: Graph,
         radius: float,
-        ledger: RoundLedger,
-        result: DistributedSpannerResult,
-    ) -> tuple[list[int], set[int]]:
-        """Cover MIS on the event tier under ``plan``.
+        index: int,
+    ) -> ClusterCover:
+        """Step (i), Theorem 16: Luby MIS of ``J`` as centers, then
+        every node joins its highest-id center in range."""
+        ledger = result.ledger
+        n = spanner.num_vertices
+        k_cluster = self.params.cluster_hop_bound(index, n)
+        ledger.charge(
+            index, "cover.gather", k_cluster, detail=f"G' within {k_cluster} hops"
+        )
+        mis_run = run_luby_mis_arrays(
+            *self._proximity_graph(spanner, radius),
+            seed=self._seed * 1_000_003 + index,
+            jobs=self._jobs,
+            shards=self._jobs if self._jobs > 1 else None,
+            partition=self._cover_partition(n),
+        )
+        result.mis_invocations += 1
+        ledger.charge(
+            index,
+            "cover.mis",
+            mis_run.engine_rounds * k_cluster,
+            messages=mis_run.messages,
+            detail=f"{mis_run.engine_rounds} J-rounds x {k_cluster} hop factor",
+        )
+        cover = cover_from_centers(spanner, radius, mis_run.independent_set)
+        ledger.charge(index, "cover.attach", k_cluster, detail="join center")
+        return cover
 
-        Induces ``J`` on the currently-alive nodes, runs the hardened
-        Luby protocol from the shared simulation clock, absorbs crashes
-        that happened mid-run (pruning their spanner edges), and promotes
-        replacement centers for alive nodes the crashes left uncovered --
-        the promotion is a local O(1)-round operation charged to the
-        ledger as ``cover.recover``.  Returns the final center list and
-        the updated dead set.
+    def _cover_event(
+        self,
+        result: DistributedSpannerResult,
+        spanner: Graph,
+        radius: float,
+        index: int,
+    ) -> ClusterCover:
+        """Step (i) on the event tier under the fault plan.
+
+        Nodes down at the phase's start lose their spanner edges and
+        stay out of ``J``.  The hardened Luby protocol runs on ``J``
+        induced on the alive nodes, from the shared simulation clock;
+        crashes during the run are absorbed (their spanner edges
+        pruned), and alive nodes those crashes left uncovered are
+        promoted to centers -- a local O(1)-round operation charged as
+        ``cover.recover``.  Nodes dead by the end stay out of the cover,
+        which is empty (and nothing is charged) when no node is alive.
         """
-        n = prox_indptr.size - 1
+        ledger = result.ledger
+        plan = self._fault_plan
+        n = spanner.num_vertices
+        k_cluster = self.params.cluster_hop_bound(index, n)
+        dead = {u for u in range(n) if plan.dead_at(u, self._clock)}
+        self._prune_dead(spanner, dead)
+        if len(dead) == n:
+            return ClusterCover(radius, (), {}, {})
+        ledger.charge(
+            index, "cover.gather", k_cluster, detail=f"G' within {k_cluster} hops"
+        )
         alive_mask = np.ones(n, dtype=bool)
-        if dead:
-            alive_mask[sorted(dead)] = False
+        alive_mask[sorted(dead)] = False
         sub_indptr, sub_indices, labels = induced_csr(
-            prox_indptr, prox_indices, alive_mask
+            *self._proximity_graph(spanner, radius), alive_mask
         )
         run = run_luby_mis_event(
             (sub_indptr, sub_indices),
@@ -479,7 +450,6 @@ class DistributedRelaxedGreedy:
             # Event volume grows with the node count; keep the default
             # ceiling for small runs but scale it for n >= 10^4 builds.
             max_events=max(5_000_000, 3_000 * n),
-            engine=self._fault_engine,
         )
         self._clock = run.t_end
         result.mis_invocations += 1
@@ -531,242 +501,50 @@ class DistributedRelaxedGreedy:
                 messages=len(promoted),
                 detail=f"{len(promoted)} centers promoted after crashes",
             )
-        return centers, dead
-
-    def _phase(
-        self,
-        graph: Graph,
-        spanner: Graph,
-        bin_edges: list[tuple[int, int, float]],
-        index: int,
-        binning: EdgeBinning,
-        dist: DistanceOracle,
-        ledger: RoundLedger,
-        result: DistributedSpannerResult,
-    ) -> PhaseReport | None:
-        """One long-edge phase: five steps with round accounting."""
-        params = self.params
-        n = graph.num_vertices
-        w_prev = binning.boundary(index - 1)
-        w_cur = binning.boundary(index)
-        radius = params.delta * w_prev
-        k_cluster = params.cluster_hop_bound(index, n)
-        k_graph = params.cluster_graph_hop_bound(index, n)
-        k_query = params.query_hop_bound()
-
-        plan = self._fault_plan
-        dead: set[int] = set()
-        if plan is not None:
-            dead = {u for u in range(n) if plan.dead_at(u, self._clock)}
-            self._prune_dead(spanner, dead)
-            if len(dead) == n:
-                return PhaseReport(
-                    index=index, w_prev=w_prev, w_cur=w_cur, num_bin_edges=0
-                )
-
-        # ---- Step (i): cluster cover via MIS of J (Theorem 16) -------
-        prox_indptr, prox_indices = self._proximity_graph(spanner, radius)
-        if self._measure_gather and graph.num_edges > 0:
-            # One pass over the spanner's edge arrays (not n per-node
-            # adjacency scans); facts are identical sets either way.
-            se_u, se_v, se_w = spanner.edges_arrays()
-            facts: dict[int, list] = {u: [] for u in graph.vertices()}
-            for u, v, w in zip(
-                se_u.tolist(), se_v.tolist(), se_w.tolist()
-            ):
-                key = (u, v, w) if u < v else (v, u, w)
-                facts[u].append(key)
-                facts[v].append(key)
-            gather_run = SynchronousNetwork(
-                graph, max_rounds=k_cluster + 4
-            ).run(KHopGather(facts, k=k_cluster))
-            ledger.charge(
-                index,
-                "cover.gather",
-                k_cluster,
-                messages=gather_run.messages,
-                detail=(
-                    f"measured flooding: {gather_run.messages} msgs, "
-                    f"{gather_run.words} words over {k_cluster} hops"
-                ),
-            )
-        else:
-            ledger.charge(
-                index,
-                "cover.gather",
-                k_cluster,
-                detail=f"G' within {k_cluster} hops",
-            )
-        if plan is None:
-            mis_run = run_luby_mis_arrays(
-                prox_indptr,
-                prox_indices,
-                seed=self._seed * 1_000_003 + index,
-                jobs=self._jobs,
-                shards=self._jobs if self._jobs > 1 else None,
-                partition=self._cover_partition(n),
-            )
-            result.mis_invocations += 1
-            ledger.charge(
-                index,
-                "cover.mis",
-                mis_run.engine_rounds * k_cluster,
-                messages=mis_run.messages,
-                detail=(
-                    f"{mis_run.engine_rounds} J-rounds x {k_cluster} "
-                    "hop factor"
-                ),
-            )
-            centers: Iterable[int] = mis_run.independent_set
-            universe: list[int] | None = None
-        else:
-            centers, dead = self._cover_mis_event(
-                plan, prox_indptr, prox_indices, dead, index,
-                k_cluster, spanner, radius, ledger, result,
-            )
-            universe = [u for u in range(n) if u not in dead]
-            if not universe:
-                return PhaseReport(
-                    index=index, w_prev=w_prev, w_cur=w_cur, num_bin_edges=0
-                )
-        cover = cover_from_centers(
-            spanner, radius, centers, vertices=universe
-        )
+        universe = [u for u in range(n) if u not in dead]
+        if not universe:
+            return ClusterCover(radius, (), {}, {})
+        cover = cover_from_centers(spanner, radius, centers, vertices=universe)
         ledger.charge(index, "cover.attach", k_cluster, detail="join center")
+        return cover
 
-        if dead and bin_edges:
-            # Crashed endpoints take their pending bin edges with them.
-            bin_edges = [
-                e for e in bin_edges
-                if e[0] not in dead and e[1] not in dead
-            ]
+    def _conflict_mis(
+        self,
+        result: DistributedSpannerResult,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        index: int,
+    ) -> frozenset[int]:
+        """Step (v)'s MIS, Theorem 21: Luby on the conflict graph.
 
-        if not bin_edges:
-            # Scheduled-but-empty phase: only the cover schedule ran.
-            return PhaseReport(
-                index=index,
-                w_prev=w_prev,
-                w_cur=w_cur,
-                num_bin_edges=0,
-                num_clusters=cover.num_clusters,
+        Under a fault plan it runs on the event tier: conflict-graph
+        nodes are *edges* hosted by alive cluster heads, so they suffer
+        the plan's link faults but cannot crash (a dead host's edges
+        already left the phase with it).
+        """
+        seed = self._seed * 2_000_003 + index
+        plan = self._fault_plan
+        if plan is None:
+            run = run_luby_mis_arrays(indptr, indices, seed=seed)
+            rounds, messages = run.engine_rounds, run.messages
+        else:
+            vplan = replace(
+                plan, crash_rate=0.0, seed=plan.seed * 1_000_003 + 17
             )
-
-        # ---- Step (ii): query selection (Theorem 17) -----------------
-        candidates, covered = split_covered(
-            bin_edges, spanner, dist, alpha=params.alpha, theta=params.theta
-        )
-        selection = select_query_edges(candidates, cover, params.t)
-        ledger.charge(
-            index,
-            "select.gather",
-            1 + k_cluster,
-            detail="cluster heads view E_i[Ca,*]",
-        )
-
-        # ---- Step (iii): cluster graph (Theorem 18) -------------------
-        cluster_graph = build_cluster_graph(spanner, cover, w_prev, params.delta)
-        ledger.charge(
-            index,
-            "hgraph.gather",
-            k_graph,
-            detail=f"G' within {k_graph} hops",
-        )
-
-        # ---- Step (iv): queries (Theorem 19) --------------------------
-        added: list[tuple[int, int, float]] = []
-        queries = selection.edges()
-        for (x, y, length), joins in zip(
-            queries, answer_spanner_queries(cluster_graph, queries, params.t)
-        ):
-            if joins:
-                spanner.add_edge(x, y, length)
-                added.append((x, y, length))
-        ledger.charge(
-            index,
-            "query.gather",
-            k_query,
-            detail=f"Theorem 9 bound {k_query} hops",
-        )
-
-        # ---- Step (v): redundancy removal (Theorem 21) ----------------
-        pairs = find_redundant_pairs(
-            added, cluster_graph, params.t1, w_cur=w_cur
-        )
-        removed: list[tuple[int, int, float]] = []
-        if pairs:
-            if plan is None:
-                # Array route: the conflict graph stays CSR end-to-end
-                # (sorted edge keys are the node ids -- the same
-                # relabeling run_luby_mis applies to the dict form, so
-                # rounds/messages/MIS are identical; pinned in tests).
-                key_u, key_v, c_indptr, c_indices = conflict_graph_arrays(
-                    pairs, n
-                )
-                mis2 = run_luby_mis_arrays(
-                    c_indptr, c_indices, seed=self._seed * 2_000_003 + index
-                )
-                implicated = set(zip(key_u.tolist(), key_v.tolist()))
-                keep = {
-                    (int(key_u[i]), int(key_v[i]))
-                    for i in mis2.independent_set
-                }
-                mis2_rounds, mis2_messages = mis2.engine_rounds, mis2.messages
-            else:
-                conflict = build_conflict_graph(pairs)
-                implicated = set(conflict)
-                # Conflict-graph nodes are *edges* hosted by alive cluster
-                # heads: they suffer the plan's link faults but cannot
-                # crash (a dead host already removed its edges above).
-                relabeled, back = _normalize(conflict)
-                vplan = replace(
-                    plan,
-                    crash_rate=0.0,
-                    seed=plan.seed * 1_000_003 + 17,
-                )
-                vrun = run_luby_mis_event(
-                    relabeled,
-                    seed=self._seed * 2_000_003 + index,
-                    plan=vplan,
-                    t0=self._clock,
-                )
-                self._clock = vrun.t_end
-                result.retransmissions += vrun.result.retransmissions
-                result.recovery_rounds += vrun.result.recovery_rounds
-                keep = frozenset(back[u] for u in vrun.independent_set)
-                mis2_rounds = vrun.result.rounds
-                mis2_messages = vrun.result.messages
-            result.mis_invocations += 1
-            ledger.charge(
-                index,
-                "redundant.mis",
-                mis2_rounds * k_query,
-                messages=mis2_messages,
-                detail=(
-                    f"{mis2_rounds} J-rounds x {k_query} hop factor"
-                ),
+            run = run_luby_mis_event(
+                (indptr, indices), seed=seed, plan=vplan, t0=self._clock
             )
-            for u, v, w in added:
-                key = (u, v) if u < v else (v, u)
-                if key in implicated and key not in keep:
-                    spanner.remove_edge(u, v)
-                    removed.append((u, v, w))
-        ledger.charge(
-            index, "redundant.gather", k_query, detail="pair discovery"
+            self._clock = run.t_end
+            result.retransmissions += run.result.retransmissions
+            result.recovery_rounds += run.result.recovery_rounds
+            rounds, messages = run.result.rounds, run.result.messages
+        result.mis_invocations += 1
+        k_query = self.params.query_hop_bound()
+        result.ledger.charge(
+            index,
+            "redundant.mis",
+            rounds * k_query,
+            messages=messages,
+            detail=f"{rounds} J-rounds x {k_query} hop factor",
         )
-
-        return PhaseReport(
-            index=index,
-            w_prev=w_prev,
-            w_cur=w_cur,
-            num_bin_edges=len(bin_edges),
-            num_covered=len(covered),
-            num_candidates=len(candidates),
-            num_clusters=cover.num_clusters,
-            num_queries=len(selection.queries),
-            max_queries_per_cluster=selection.max_queries_per_cluster,
-            num_added=len(added),
-            num_removed=len(removed),
-            num_intra_edges=cluster_graph.num_intra_edges,
-            num_inter_edges=cluster_graph.num_inter_edges,
-            inter_center_degree=cluster_graph.inter_center_degree(),
-        )
+        return run.independent_set

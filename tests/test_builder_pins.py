@@ -3,11 +3,11 @@
 ``tests/fixtures/builder_pins.json`` records, for four n=300 instances
 (UDG and alpha=0.5 Bernoulli quasi-UBG, in 2-D and 3-D), what every
 builder variant produced: a SHA-256 of the sorted spanner edges, every
-``PhaseReport`` (as a row in field order), the probe-cache counters and, for distributed builds,
-the ledger entries, round total and MIS count (plus the fault summary
-under a ``FaultPlan``).  Refactors of the build pipeline must reproduce
-these records exactly; the fixture is never rewritten to follow a
-change in output.
+``PhaseReport`` (as a row in field order), the probe-cache counters
+and, for distributed builds, the ledger entries, round total and MIS
+count (plus the fault summary under a ``FaultPlan``).  Refactors of the
+build pipeline must reproduce these records exactly; the fixture is
+never rewritten to follow a change in output.
 
 Regenerate (only when an output change is intended and reviewed)::
 

@@ -165,7 +165,10 @@ class TestCoverFromCenters:
                     if v != u:
                         adjacency[u].add(v)
                         adjacency[v].add(u)
-            centers = greedy_mis(adjacency)
+            rows = [sorted(adjacency[u]) for u in g.vertices()]
+            indptr = np.cumsum([0] + [len(r) for r in rows])
+            indices = np.asarray([v for r in rows for v in r], dtype=int)
+            centers = greedy_mis(indptr, indices).tolist()
             cover = cover_from_centers(g, radius, centers)
             for v in g.vertices():
                 assert cover.distance_to_center(v) <= radius + 1e-12

@@ -103,28 +103,6 @@ class TestLedger:
             RoundLedger().charge(0, "x", -1)
 
 
-class TestMeasuredGather:
-    def test_measured_messages_positive_same_result(self, params_half):
-        points = uniform_points(50, seed=41)
-        graph = build_udg(points)
-        plain = DistributedRelaxedGreedy(params_half, seed=7).build(
-            graph, points.distance
-        )
-        measured = DistributedRelaxedGreedy(
-            params_half, seed=7, measure_gather_messages=True
-        ).build(graph, points.distance)
-        # Same spanner, same round bill; only the message column fills in.
-        assert measured.spanner == plain.spanner
-        assert measured.total_rounds == plain.total_rounds
-        gather_msgs = sum(
-            e.messages
-            for e in measured.ledger.entries
-            if e.step == "cover.gather"
-        )
-        assert gather_msgs > 0
-        assert measured.ledger.total_messages > plain.ledger.total_messages
-
-
 class TestScheduledEmptyPhases:
     def test_empty_phases_pay_cover_schedule(self, params_half):
         points = uniform_points(40, seed=31)
