@@ -23,15 +23,25 @@ via *dirty-ball invalidation*:
    approximation;
 4. redundancy verdicts for spanner edges touching the dirty ball are
    re-taken (remove iff a ``t1``-alternative survives), and
-5. a certification sweep over base edges within ``dirty_radius + t``
-   of the sites re-adds any edge whose ``t``-certificate the repair
-   broke.  A certificate path for base edge ``(x, y)`` stays within
-   Euclidean ``t`` of ``x``; every spanner edge the repair removed has
-   an endpoint within ``dirty_radius`` of a site, so any base edge
-   whose certificate could have broken has an endpoint within
-   ``dirty_radius + t`` -- the sweep radius.  The invariant after
-   every event: **the maintained spanner is a t-spanner of the
-   current base graph** (:meth:`MaintenanceSession.verify`).
+5. *change-site certification* re-adds any base edge whose
+   ``t``-certificate the epoch broke.  Every spanner edge the epoch
+   removes or re-weights -- a delete's edges, a move's edges (at the
+   node's *old* position), a redundancy prune -- records both
+   endpoint positions as *change sites*, and inserted and moved nodes
+   record their ids.  The suspects are the base edges off the spanner
+   that touch a recorded node or have an endpoint within Euclidean
+   ``t * w`` of a site (``w`` the edge's length); each is answered by a
+   target-directed Dijkstra with cutoff ``t * w``.  By induction every
+   base edge holds a ``t``-path at epoch start (the build, a resync or
+   the previous epoch certified it).  That path has length ``<= t * w``,
+   so every vertex on it lies within Euclidean ``t * w`` of ``x``; if
+   none of its edges changed, it survives with the same length.  A
+   certificate can therefore only break next to a change site, and an
+   edge away from every site is never a violation: the sweep re-adds
+   exactly the edges a sweep over every base edge would, in the same
+   (edge-store) order.  The invariant after
+   every event: **the maintained spanner is a t-spanner of the current
+   base graph** (:meth:`MaintenanceSession.verify`).
 
 Repair modes: ``repair="local"`` (the default) runs the dirty-ball
 pipeline and is pinned by a tested stretch bound; ``repair="rebuild"``
@@ -53,8 +63,8 @@ together: every mutation lands on the base graph first, the per-event
 balls coalesce into merged dirty *regions* (connected components of
 the ball-overlap graph), promotion and redundancy run once per region
 -- deduplicating every overlapping ball's candidates, covers and
-verdicts -- and one certification sweep closes the epoch over the
-union of the region halos.  A single-event epoch takes exactly the
+verdicts -- and one certification sweep over the epoch's change sites
+closes it.  A single-event epoch takes exactly the
 per-event path (``apply`` *is* ``apply_epoch`` of one event), so the
 two pins extend rather than fork.
 
@@ -274,6 +284,8 @@ class MaintenanceSession:
         )
         if coords.ndim != 2 or coords.shape[0] == 0:
             raise GraphError("points must be a non-empty (n, d) array")
+        if not np.isfinite(coords).all():
+            raise GraphError("points must have finite coordinates")
         if repair not in ("local", "rebuild"):
             raise ParameterError(
                 f"repair must be 'local' or 'rebuild', got {repair!r}"
@@ -309,6 +321,11 @@ class MaintenanceSession:
         self._cover_pending: list[np.ndarray] = []
         self._cover_hits = 0
         self._cover_misses = 0
+        # Change sites of the running epoch: ``(k, dim)`` position blocks
+        # of removed / re-weighted spanner-edge endpoints, and the ids of
+        # inserted and moved nodes (the certification suspect rule).
+        self._cert_sites: list[np.ndarray] = []
+        self._cert_nodes: list[int] = []
         self._epochs = 0
         self.graph = self._build_base()
         self.build_result: SpannerResult = self._build_result()
@@ -413,18 +430,21 @@ class MaintenanceSession:
         All mutations land on the base graph first; the per-event
         dirty balls merge into regions (connected components of the
         ball-overlap graph) and the repair pipeline runs once per
-        region, with one certification sweep over the union of halos
-        closing the epoch.  ``repair="rebuild"`` epochs re-derive the
-        spanner once (still bit-equal to a scratch rebuild).  Returns
-        one report per event; an empty epoch is a no-op.
+        region, with one certification sweep over the epoch's change
+        sites closing the epoch.  ``repair="rebuild"`` epochs re-derive
+        the spanner once (still bit-equal to a scratch rebuild).
+        Returns one report per event; an empty epoch is a no-op.  The
+        whole epoch is validated first: an invalid event raises
+        :class:`GraphError` (:class:`ParameterError` for an unknown
+        kind) and leaves the session untouched.
         """
         events = list(events)
         if not events:
             return []
-        for event in events:
-            if event.kind not in ("insert", "delete", "move"):
-                raise ParameterError(f"unknown event kind {event.kind!r}")
+        self._check_epoch(events)
         t0 = perf_counter()
+        self._cert_sites.clear()
+        self._cert_nodes.clear()
         reports: list[RepairReport] = []
         sites_list: list[list[np.ndarray]] = []
         for event in events:
@@ -607,16 +627,91 @@ class MaintenanceSession:
             )
         return cand[keep], dist[keep]
 
+    def _check_epoch(self, events: list[MaintenanceEvent]) -> None:
+        """Validate a whole epoch before any of it mutates the session.
+
+        The epoch's alive-set and position changes are replayed on
+        overlays, so an event may rely on an earlier one of its epoch
+        (revive a node the epoch deleted, move a node it inserted).
+        Positions must be finite and of the session's dimension, and an
+        inserted, revived or moved node must not land exactly on another
+        alive node (a zero-length base edge).  The first bad event
+        raises :class:`GraphError` naming the reason.
+        """
+        alive: dict[int, bool] = {}
+        where: dict[int, np.ndarray] = {}
+        # Exact position -> the alive node the epoch placed there.
+        spots: dict[tuple[float, ...], int] = {}
+        capacity = self.capacity
+
+        def is_alive(v: int) -> bool:
+            if v in alive:
+                return alive[v]
+            return v < self.capacity and bool(self._alive[v])
+
+        for event in events:
+            kind, node = event.kind, event.node
+            if kind not in ("insert", "delete", "move"):
+                raise ParameterError(f"unknown event kind {kind!r}")
+            pos = None if event.pos is None else self._check_pos(event.pos)
+            if kind == "insert" and node is None:
+                if pos is None:
+                    raise GraphError("insert of a fresh node needs a position")
+                node = capacity
+                capacity += 1
+            elif node is None or not 0 <= node < capacity:
+                raise GraphError(f"node {node} out of range")
+            elif kind == "insert":
+                if is_alive(node):
+                    raise GraphError(f"node {node} is already alive")
+                if pos is None:
+                    pos = where.get(node, self._coords[node])
+            elif not is_alive(node):
+                raise GraphError(f"node {node} is not alive")
+            elif kind == "move" and pos is None:
+                raise GraphError(f"move needs a dim-{self._dim} position")
+            old = where.get(node)
+            if old is not None and spots.get(tuple(old.tolist())) == node:
+                del spots[tuple(old.tolist())]
+            if kind == "delete":
+                alive[node] = False
+                continue
+            # Alive nodes exactly at ``pos``: the settled ones from the
+            # grid (unless the epoch moved or deleted them), then the
+            # one this epoch placed there.
+            key = tuple(pos.tolist())
+            near, _ = self._near_ball(pos, 0.0)
+            clash = [
+                v
+                for v in near.tolist()
+                if v != node and v not in alive and v not in where
+            ]
+            if spots.get(key, node) != node:
+                clash.append(spots[key])
+            if clash:
+                raise GraphError(
+                    f"{kind} of node {node} lands on alive node {clash[0]}"
+                )
+            alive[node] = True
+            where[node] = pos
+            spots[key] = node
+
+    def _check_pos(self, pos: Sequence[float]) -> np.ndarray:
+        arr = np.asarray(pos, dtype=np.float64)
+        if arr.shape != (self._dim,):
+            raise GraphError(
+                f"position must have dim {self._dim}, got shape {arr.shape}"
+            )
+        if not np.isfinite(arr).all():
+            raise GraphError(f"position must be finite, got {tuple(pos)}")
+        return arr
+
+    # The mutations below trust :meth:`_check_epoch` to have validated
+    # their event against the state they run on.
     def _do_insert(
         self, node: int | None, pos: tuple[float, ...] | None
     ) -> tuple[int, list[np.ndarray]]:
         if node is None:
-            if pos is None:
-                raise GraphError("insert of a fresh node needs a position")
-            if len(pos) != self._dim:
-                raise GraphError(
-                    f"position must have dim {self._dim}, got {len(pos)}"
-                )
             node = self._coords.shape[0]
             self._coords = np.vstack([self._coords, [pos]])
             self._alive = np.append(self._alive, False)
@@ -626,16 +721,12 @@ class MaintenanceSession:
             # arrays; start the cover cache over.
             self._cover_bins.clear()
             self._cover_pending.clear()
-        else:
-            if not 0 <= node < self.capacity:
-                raise GraphError(f"node {node} out of range")
-            if self._alive[node]:
-                raise GraphError(f"node {node} is already alive")
-            if pos is not None:
-                self._coords = self._coords.copy()
-                self._coords[node] = pos
+        elif pos is not None:
+            self._coords = self._coords.copy()
+            self._coords[node] = pos
         self._pts_cache = None
         self._alive[node] = True
+        self._cert_nodes.append(node)
         position = self._coords[node]
         cand, dist = self._near_alive(position, exclude=node)
         nbrs, ws = self._decide_edges(node, cand, dist)
@@ -644,15 +735,23 @@ class MaintenanceSession:
         self._cell_add(node)
         return node, [position.copy()]
 
-    def _do_delete(self, node: int) -> tuple[int, list[np.ndarray]]:
-        if not (0 <= node < self.capacity and self._alive[node]):
-            raise GraphError(f"node {node} is not alive")
-        site = self._coords[node].copy()
+    def _spanner_star(self, node: int) -> np.ndarray:
+        """Record ``node``'s spanner edges as changed: its position and
+        its spanner neighbors' positions become change sites (and cover
+        invalidation points).  Returns the ``(k, dim)`` block, ``node``
+        first."""
+        changed = self._coords[[node, *self.spanner.neighbors(node)]]
+        self._cert_sites.append(changed[0])
         if self._cover_cache_on:
+            # The node's own rows die outright: the flush gathers from
+            # the grid at *current* positions, which may no longer see
+            # the node.
             self._kill_node_rows(node)
-            self._cover_pending.append(site)
-            for v in self.spanner.neighbors(node):
-                self._cover_pending.append(self._coords[v].copy())
+            self._cover_pending.extend(changed)
+        return changed
+
+    def _do_delete(self, node: int) -> tuple[int, list[np.ndarray]]:
+        site = self._spanner_star(node)[0]
         for v in list(self.spanner.neighbors(node)):
             self.spanner.remove_edge(node, v)
         for v in list(self.graph.neighbors(node)):
@@ -664,21 +763,11 @@ class MaintenanceSession:
     def _do_move(
         self, node: int, pos: tuple[float, ...] | None
     ) -> tuple[int, list[np.ndarray]]:
-        if not (0 <= node < self.capacity and self._alive[node]):
-            raise GraphError(f"node {node} is not alive")
-        if pos is None or len(pos) != self._dim:
-            raise GraphError(f"move needs a dim-{self._dim} position")
-        old = self._coords[node].copy()
-        if self._cover_cache_on:
-            # Every spanner edge at the node changes weight or dies;
-            # kill its own rows outright (the flush gathers from the
-            # grid at *current* positions, which no longer see the old
-            # site), then record the derivation-time geometry (old
-            # position) plus the still-current neighbor positions.
-            self._kill_node_rows(node)
-            self._cover_pending.append(old.copy())
-            for v in self.spanner.neighbors(node):
-                self._cover_pending.append(self._coords[v].copy())
+        # Every spanner edge at the node changes weight or dies; the
+        # derivation-time geometry (the *old* position) is what a
+        # certificate through the node ran past.
+        old = self._spanner_star(node)[0]
+        self._cert_nodes.append(node)
         self._cell_remove(node)
         self._coords = self._coords.copy()
         self._coords[node] = pos
@@ -740,9 +829,12 @@ class MaintenanceSession:
     def _rebuild_spanner(self) -> None:
         self.build_result = self._build_result()
         self.spanner = self.build_result.spanner
-        # A rebuild rewrites the covered graph wholesale.
+        # A rebuild rewrites the covered graph wholesale and certifies
+        # every base edge afresh.
         self._cover_bins.clear()
         self._cover_pending.clear()
+        self._cert_sites.clear()
+        self._cert_nodes.clear()
 
     def _site_distances(self, sites: list[np.ndarray]) -> np.ndarray:
         alive_idx = np.flatnonzero(self._alive)
@@ -807,8 +899,6 @@ class MaintenanceSession:
         epoch_lead = reports[groups[0][0]]
         n = self.graph.num_vertices
         dirty_mask = np.zeros(n, dtype=bool)
-        halo_mask = np.zeros(n, dtype=bool)
-        halo_radius = self.dirty_radius + self.params.t
         for gi, group in enumerate(groups):
             lead = reports[group[0]]
             for idx in group[1:]:
@@ -847,7 +937,6 @@ class MaintenanceSession:
                         reports[idx].coalesced = True
                 return
             dirty_mask[dirty] = True
-            halo_mask[alive_idx[d_site <= halo_radius]] = True
         # One repair pass over the union of all component balls.  For
         # disjoint components this is verdict-for-verdict identical to
         # repairing them one at a time (candidates, cluster pairs and
@@ -856,7 +945,7 @@ class MaintenanceSession:
         # flush, the edge-store scans, the bin loop -- is paid once
         # per epoch instead of once per component.
         self._repair_region(np.flatnonzero(dirty_mask), epoch_lead)
-        self._certify(np.flatnonzero(halo_mask), epoch_lead)
+        self._certify(epoch_lead)
 
     def _span_add(
         self, x: int, y: int, length: float, report: RepairReport
@@ -870,9 +959,10 @@ class MaintenanceSession:
     def _span_dropped(self, x: int, y: int, report: RepairReport) -> None:
         """Account a redundancy removal (edge already off the spanner)."""
         report.removed_edges += 1
+        changed = self._coords[[x, y]]
+        self._cert_sites.append(changed[0])
         if self._cover_cache_on:
-            self._cover_pending.append(self._coords[x].copy())
-            self._cover_pending.append(self._coords[y].copy())
+            self._cover_pending.extend(changed)
 
     def _repair_region(
         self, dirty: np.ndarray, report: RepairReport
@@ -985,25 +1075,98 @@ class MaintenanceSession:
                 self._span_dropped(a, b, report)
         report.redundancy_s += perf_counter() - tr0
 
-    def _certify(self, halo: np.ndarray, report: RepairReport) -> None:
-        """Certification sweep: re-certify every base edge whose
-        t-certificate could have crossed a dirty ball this epoch;
-        re-add the violated ones directly.  This is the correctness
-        backstop that keeps the t-spanner invariant unconditional."""
+    def _certify(self, report: RepairReport) -> None:
+        """Change-site certification: re-add every base edge whose
+        ``t``-certificate the epoch broke.
+
+        Suspects are the base edges off the spanner that touch an
+        inserted or moved node, or have an endpoint within Euclidean
+        ``t * w`` of a recorded change site (see :meth:`_suspects`).
+        Every base edge had a ``t``-path at epoch start, and a path of
+        length ``<= t * w`` never leaves the Euclidean ``t * w`` ball
+        around ``x``; an edge away from every site keeps its path, so it
+        cannot be violated.  Each suspect is answered on the spanner as
+        it stood before certification, by a target-directed Dijkstra
+        with its own cutoff ``t * w`` (the promotion phase's kernel), and
+        the violated ones are added in edge-store order.  This is the
+        correctness backstop that keeps the t-spanner invariant
+        unconditional.
+        """
         tc0 = perf_counter()
         t = self.params.t
-        suspects = self._touching_edges(self.graph, halo, spanner_gap=True)
-        if suspects:
-            us = np.asarray([e[0] for e in suspects], dtype=np.int64)
-            vs = np.asarray([e[1] for e in suspects], dtype=np.int64)
-            ws = np.asarray([e[2] for e in suspects])
-            sp = pair_distances(self.spanner, us, vs, cutoff=t)
-            viol = sp > t * ws
-            for x, y, length in zip(
-                us[viol].tolist(), vs[viol].tolist(), ws[viol].tolist()
-            ):
-                self._span_add(x, y, length, report)
+        spanner = self.spanner
+        violated = [
+            (x, y, w)
+            for x, y, w in self._suspects()
+            if dijkstra_distance(spanner, x, y, cutoff=t * w) > t * w
+        ]
+        for x, y, w in violated:
+            self._span_add(x, y, w, report)
         report.certification_s += perf_counter() - tc0
+
+    def _suspects(self) -> list[tuple[int, int, float]]:
+        """Base edges off the spanner that touch a recorded node or have
+        an endpoint within Euclidean ``t * w`` of a change site, as
+        ``(u, v, w)`` with ``u < v`` in the edge store's order.
+
+        Candidate endpoints come from the unit grid cells within ``t``
+        of the sites (``w <= 1``); the ``t * w`` filter runs vectorized
+        over the edge arrays before the per-pair spanner probe.
+        """
+        us, vs, ws = self.graph.edges_arrays()
+        if us.size == 0:
+            return []
+        n = self.graph.num_vertices
+        touched = np.zeros(n, dtype=bool)
+        touched[self._cert_nodes] = True
+        sel = touched[us] | touched[vs]
+        if self._cert_sites:
+            t = self.params.t
+            sites = np.vstack(self._cert_sites)
+            cand = self._cells_within(sites, t)
+            if cand.size:
+                near = np.full(n, np.inf)
+                near[cand] = _nearest_site(self._coords[cand], sites)
+                # The relative slack absorbs rounding between the
+                # straight-line and the summed-path distances; it can
+                # only add suspects, never drop a violated edge.
+                reach = t * ws * (1.0 + 1e-9)
+                sel |= near[us] + near[vs] <= reach
+        idx = np.flatnonzero(sel)
+        has = self.spanner.has_edge
+        return [
+            (a, b, w)
+            for a, b, w in zip(
+                us[idx].tolist(), vs[idx].tolist(), ws[idx].tolist()
+            )
+            if not has(a, b)
+        ]
+
+    def _cells_within(self, sites: np.ndarray, radius: float) -> np.ndarray:
+        """Alive nodes in the unit grid cells that can hold a point
+        within Euclidean ``radius`` of some site (a superset of the
+        ball union; the caller filters by exact distance).  When one
+        site's probe alone would visit more cells than are occupied,
+        every alive node is the answer."""
+        r = math.ceil(radius)
+        if (2 * r + 1) ** self._dim >= len(self._cells):
+            return np.flatnonzero(self._alive)
+        offsets = np.asarray(
+            list(itertools.product(range(-r, r + 1), repeat=self._dim)),
+            dtype=np.int64,
+        )
+        keys = np.floor(sites).astype(np.int64)
+        cells = (keys[:, None, :] + offsets[None, :, :]).reshape(-1, self._dim)
+        # Deduplicate the probe on flat codes before building tuples.
+        lo = cells.min(axis=0)
+        code = np.ravel_multi_index((cells - lo).T, cells.max(axis=0) - lo + 1)
+        _, first = np.unique(code, return_index=True)
+        ids: list[int] = []
+        for cell in map(tuple, cells[first].tolist()):
+            bucket = self._cells.get(cell)
+            if bucket:
+                ids.extend(bucket)
+        return np.asarray(ids, dtype=np.int64)
 
     def _touching_edges(
         self, graph: Graph, region: np.ndarray, *, spanner_gap: bool = False
@@ -1011,8 +1174,8 @@ class MaintenanceSession:
         """Edges of ``graph`` with an endpoint in ``region``, each once
         as ``(u, v, w)`` with ``u < v``, in the edge store's
         deterministic order.  With ``spanner_gap`` only edges absent
-        from the maintained spanner survive (the promotion /
-        certification candidate filter): a per-pair adjacency probe on
+        from the maintained spanner survive (the promotion candidate
+        filter): a per-pair adjacency probe on
         the already-masked selection -- an encoded-key ``np.isin`` was
         measured slower because it re-sorts all the spanner's edge keys
         on every call, while the selection it filters is tiny."""
@@ -1180,6 +1343,23 @@ def _cold_cover(
     return build_cluster_cover_reference(
         spanner, radius, vertices=endpoints
     )
+
+
+def _nearest_site(coords: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of ``coords`` to its nearest
+    site: per-axis outer differences, in site blocks so the temporary
+    stays at ``len(coords) x 128``."""
+    best = np.full(coords.shape[0], np.inf)
+    for lo in range(0, sites.shape[0], 128):
+        block = sites[lo : lo + 128]
+        d2 = np.subtract.outer(coords[:, 0], block[:, 0])
+        d2 *= d2
+        for k in range(1, coords.shape[1]):
+            dk = np.subtract.outer(coords[:, k], block[:, k])
+            dk *= dk
+            d2 += dk
+        np.minimum(best, d2.min(axis=1), out=best)
+    return np.sqrt(best)
 
 
 def _tup(pos: Sequence[float] | None) -> tuple[float, ...] | None:

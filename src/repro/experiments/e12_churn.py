@@ -26,7 +26,12 @@ relative to the static pipeline.  Shape:
   against a canonical rebuild, and the certified stretch; the tested
   stretch bound must hold at *every* checkpoint (the bound never
   degrades with horizon -- certification re-establishes it each
-  epoch), while drift is measured, not assumed.
+  epoch), while drift is measured, not assumed;
+* every churning row must have repaired locally at least once
+  (``resyncs < events``): a row where every event escalated to a
+  rebuild never ran the repair pipeline it claims to measure, so the
+  default sizes are large enough for dirty balls to stay under the
+  resync fraction.
 
 ``repro sweep --experiments E12`` re-verifies the claim across the
 deployment grid (the ``scenarios``/``sizes`` kwargs plug into the
@@ -90,7 +95,7 @@ def run(
     ``horizon`` is the minimum event count of the long-horizon drift
     sweep (default 500, or 60 under ``quick``).
     """
-    n = sizes[0] if sizes else (48 if quick else 200)
+    n = sizes[0] if sizes else (400 if quick else 800)
     scenario = scenarios[0] if scenarios else "uniform"
     rates = tuple(churn_rates) if churn_rates else (
         (0.0, 0.02, 0.1) if quick else (0.0, 0.01, 0.02, 0.05, 0.1)
@@ -157,6 +162,8 @@ def run(
                     stats = session.stats()
                     _, ref = session.rebuild_reference()
                 ok &= check["ok"]
+                if stats["events"]:
+                    ok &= stats["resyncs"] < stats["events"]
                 row.update(
                     events=stats["events"],
                     epochs=stats["epochs"],
@@ -231,4 +238,5 @@ def run(
             }
             result.rows.append(row)
             result.passed &= check["ok"]
+            result.passed &= stats["resyncs"] < stats["events"]
     return result

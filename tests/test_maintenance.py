@@ -163,6 +163,109 @@ class TestLocalPath:
         assert session.verify()["ok"]
 
 
+def snapshot(session):
+    return (
+        session.num_alive,
+        session.capacity,
+        session.graph.num_edges,
+        session.spanner.num_edges,
+        edge_table(session.spanner),
+    )
+
+
+class TestFailedEventLeavesSession:
+    """An invalid event raises a named :class:`GraphError` before it
+    mutates anything: the session is exactly as it was, and still
+    repairs the next valid event."""
+
+    def assert_rejected(self, session, apply, match):
+        before = snapshot(session)
+        with pytest.raises(GraphError, match=match):
+            apply()
+        assert snapshot(session) == before
+        node = int(session.alive_nodes()[0])
+        session.move(node, session.position(node) + 0.01)
+        assert session.verify()["ok"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_insert(self, bad):
+        session, _ = make_session(11, "local", n=200)
+        self.assert_rejected(
+            session, lambda: session.insert((bad, 1.0)), "finite"
+        )
+
+    def test_non_finite_move(self):
+        session, _ = make_session(11, "local", n=200)
+        node = int(session.alive_nodes()[3])
+        self.assert_rejected(
+            session, lambda: session.move(node, (1.0, np.nan)), "finite"
+        )
+
+    def test_revival_with_wrong_dimension(self):
+        session, _ = make_session(12, "local", n=200)
+        dead = int(session.alive_nodes()[4])
+        session.delete(dead)
+        self.assert_rejected(
+            session,
+            lambda: session.insert((1.0, 2.0, 3.0), node=dead),
+            "dim",
+        )
+
+    def test_insert_onto_alive_node(self):
+        session, _ = make_session(13, "local", n=200)
+        taken = session.position(int(session.alive_nodes()[5]))
+        self.assert_rejected(
+            session, lambda: session.insert(taken), "lands on alive node"
+        )
+
+    def test_move_onto_alive_node(self):
+        session, _ = make_session(13, "local", n=200)
+        alive = session.alive_nodes()
+        taken = session.position(int(alive[5]))
+        self.assert_rejected(
+            session,
+            lambda: session.move(int(alive[6]), taken),
+            "lands on alive node",
+        )
+
+    def test_bad_event_rejects_whole_epoch(self):
+        session, _ = make_session(14, "local", n=200)
+        alive = session.alive_nodes()
+        a, b = int(alive[0]), int(alive[1])
+        epoch = [
+            MaintenanceEvent("delete", node=a),
+            MaintenanceEvent("move", node=b, pos=(0.5, 0.5)),
+            MaintenanceEvent("insert", pos=(np.nan, 0.0)),
+        ]
+        self.assert_rejected(
+            session, lambda: session.apply_epoch(epoch), "finite"
+        )
+
+    def test_epoch_may_build_on_its_own_events(self):
+        # Validation replays the epoch: reviving a node the epoch
+        # deleted, and moving a node onto a spot the epoch vacated, are
+        # both fine.
+        session, _ = make_session(15, "local", n=200)
+        alive = session.alive_nodes()
+        a, b = int(alive[0]), int(alive[1])
+        spot = tuple(session.position(a))
+        session.apply_epoch(
+            [
+                MaintenanceEvent("delete", node=a),
+                MaintenanceEvent("move", node=b, pos=spot),
+                MaintenanceEvent("insert", node=a, pos=(0.25, 0.25)),
+            ]
+        )
+        assert session.num_alive == 200
+        assert session.verify()["ok"]
+
+    def test_constructor_rejects_nan(self):
+        pts = uniform_points(50, dim=2, seed=1).coords.copy()
+        pts[7, 1] = np.nan
+        with pytest.raises(GraphError, match="finite"):
+            MaintenanceSession(pts, 0.5)
+
+
 class TestFaultPlanAdapter:
     def test_seed_determinism(self):
         nodes = range(64)
