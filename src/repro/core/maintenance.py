@@ -25,23 +25,24 @@ via *dirty-ball invalidation*:
    re-taken (remove iff a ``t1``-alternative survives), and
 5. *change-site certification* re-adds any base edge whose
    ``t``-certificate the epoch broke.  Every spanner edge the epoch
-   removes or re-weights -- a delete's edges, a move's edges (at the
-   node's *old* position), a redundancy prune -- records both
-   endpoint positions as *change sites*, and inserted and moved nodes
-   record their ids.  The suspects are the base edges off the spanner
-   that touch a recorded node or have an endpoint within Euclidean
-   ``t * w`` of a site (``w`` the edge's length); each is answered by a
-   target-directed Dijkstra with cutoff ``t * w``.  By induction every
-   base edge holds a ``t``-path at epoch start (the build, a resync or
-   the previous epoch certified it).  That path has length ``<= t * w``,
-   so every vertex on it lies within Euclidean ``t * w`` of ``x``; if
-   none of its edges changed, it survives with the same length.  A
-   certificate can therefore only break next to a change site, and an
-   edge away from every site is never a violation: the sweep re-adds
+   removes or re-weights -- a delete's edges, a move's edges, a
+   redundancy prune -- records the pre-epoch position of one endpoint
+   as a *change site* (a delete or move records the node itself, at
+   its *old* position), and inserted and moved nodes record their ids.
+   By induction every base edge ``(x, y)`` of length ``w`` holds a
+   path of length ``<= t * w`` at epoch start (the build, a resync or
+   the previous epoch certified it), and every vertex ``p`` on that
+   path has ``|xp| + |py| <= t * w``.  If none of the path's edges
+   changed, it survives with the same length; if one did, the path
+   passes that edge's recorded endpoint.  So the suspects are the base
+   edges off the spanner that touch a recorded node, or whose
+   endpoints' nearest-site distances sum to at most ``t * w``; each is
+   answered by a target-directed Dijkstra with cutoff ``t * w``.  An
+   edge outside that set cannot be violated, so the sweep re-adds
    exactly the edges a sweep over every base edge would, in the same
-   (edge-store) order.  The invariant after
-   every event: **the maintained spanner is a t-spanner of the current
-   base graph** (:meth:`MaintenanceSession.verify`).
+   (edge-store) order.  The invariant after every event: **the
+   maintained spanner is a t-spanner of the current base graph**
+   (:meth:`MaintenanceSession.verify`).
 
 Repair modes: ``repair="local"`` (the default) runs the dirty-ball
 pipeline and is pinned by a tested stretch bound; ``repair="rebuild"``
@@ -321,9 +322,9 @@ class MaintenanceSession:
         self._cover_pending: list[np.ndarray] = []
         self._cover_hits = 0
         self._cover_misses = 0
-        # Change sites of the running epoch: ``(k, dim)`` position blocks
-        # of removed / re-weighted spanner-edge endpoints, and the ids of
-        # inserted and moved nodes (the certification suspect rule).
+        # Change sites of the running epoch: one pre-epoch endpoint
+        # position per removed / re-weighted spanner edge, and the ids
+        # of inserted and moved nodes (the certification suspect rule).
         self._cert_sites: list[np.ndarray] = []
         self._cert_nodes: list[int] = []
         self._epochs = 0
@@ -639,8 +640,9 @@ class MaintenanceSession:
         raises :class:`GraphError` naming the reason.
         """
         alive: dict[int, bool] = {}
-        where: dict[int, np.ndarray] = {}
-        # Exact position -> the alive node the epoch placed there.
+        # Node -> the position the epoch gave it, and back for the
+        # alive ones.
+        where: dict[int, tuple[float, ...]] = {}
         spots: dict[tuple[float, ...], int] = {}
         capacity = self.capacity
 
@@ -665,14 +667,13 @@ class MaintenanceSession:
                 if is_alive(node):
                     raise GraphError(f"node {node} is already alive")
                 if pos is None:
-                    pos = where.get(node, self._coords[node])
+                    pos = np.asarray(where.get(node, self._coords[node]))
             elif not is_alive(node):
                 raise GraphError(f"node {node} is not alive")
             elif kind == "move" and pos is None:
                 raise GraphError(f"move needs a dim-{self._dim} position")
-            old = where.get(node)
-            if old is not None and spots.get(tuple(old.tolist())) == node:
-                del spots[tuple(old.tolist())]
+            if spots.get(where.get(node)) == node:
+                del spots[where[node]]
             if kind == "delete":
                 alive[node] = False
                 continue
@@ -693,7 +694,7 @@ class MaintenanceSession:
                     f"{kind} of node {node} lands on alive node {clash[0]}"
                 )
             alive[node] = True
-            where[node] = pos
+            where[node] = key
             spots[key] = node
 
     def _check_pos(self, pos: Sequence[float]) -> np.ndarray:
@@ -736,10 +737,10 @@ class MaintenanceSession:
         return node, [position.copy()]
 
     def _spanner_star(self, node: int) -> np.ndarray:
-        """Record ``node``'s spanner edges as changed: its position and
-        its spanner neighbors' positions become change sites (and cover
-        invalidation points).  Returns the ``(k, dim)`` block, ``node``
-        first."""
+        """Record ``node``'s spanner edges as changed: the node's
+        position is their shared change site, and it and its spanner
+        neighbors' positions are cover invalidation points.  Returns
+        the ``(k, dim)`` position block, ``node`` first."""
         changed = self._coords[[node, *self.spanner.neighbors(node)]]
         self._cert_sites.append(changed[0])
         if self._cover_cache_on:
@@ -960,6 +961,8 @@ class MaintenanceSession:
         """Account a redundancy removal (edge already off the spanner)."""
         report.removed_edges += 1
         changed = self._coords[[x, y]]
+        # Any path through the edge passes both endpoints; one site
+        # suffices.
         self._cert_sites.append(changed[0])
         if self._cover_cache_on:
             self._cover_pending.extend(changed)
@@ -1079,18 +1082,13 @@ class MaintenanceSession:
         """Change-site certification: re-add every base edge whose
         ``t``-certificate the epoch broke.
 
-        Suspects are the base edges off the spanner that touch an
-        inserted or moved node, or have an endpoint within Euclidean
-        ``t * w`` of a recorded change site (see :meth:`_suspects`).
-        Every base edge had a ``t``-path at epoch start, and a path of
-        length ``<= t * w`` never leaves the Euclidean ``t * w`` ball
-        around ``x``; an edge away from every site keeps its path, so it
-        cannot be violated.  Each suspect is answered on the spanner as
-        it stood before certification, by a target-directed Dijkstra
-        with its own cutoff ``t * w`` (the promotion phase's kernel), and
-        the violated ones are added in edge-store order.  This is the
-        correctness backstop that keeps the t-spanner invariant
-        unconditional.
+        Every base edge had a path of length ``<= t * w`` at epoch
+        start; only the suspects of :meth:`_suspects` can have lost
+        theirs.  Each suspect is answered on the spanner as it stood
+        before certification, by a target-directed Dijkstra with its own
+        cutoff ``t * w`` (the promotion phase's kernel), and the violated
+        ones are added in edge-store order.  This is the correctness
+        backstop that keeps the t-spanner invariant unconditional.
         """
         tc0 = perf_counter()
         t = self.params.t
@@ -1105,9 +1103,12 @@ class MaintenanceSession:
         report.certification_s += perf_counter() - tc0
 
     def _suspects(self) -> list[tuple[int, int, float]]:
-        """Base edges off the spanner that touch a recorded node or have
-        an endpoint within Euclidean ``t * w`` of a change site, as
-        ``(u, v, w)`` with ``u < v`` in the edge store's order.
+        """Base edges off the spanner whose certificate the epoch may
+        have broken, as ``(u, v, w)`` with ``u < v`` in the edge store's
+        order: those touching an inserted or moved node, and those with
+        ``near(u) + near(v) <= t * w``, where ``near`` is the distance
+        to the nearest change site: a path through site ``p`` has
+        length ``>= |up| + |pv| >= near(u) + near(v)``.
 
         Candidate endpoints come from the unit grid cells within ``t``
         of the sites (``w <= 1``); the ``t * w`` filter runs vectorized
@@ -1157,12 +1158,8 @@ class MaintenanceSession:
         )
         keys = np.floor(sites).astype(np.int64)
         cells = (keys[:, None, :] + offsets[None, :, :]).reshape(-1, self._dim)
-        # Deduplicate the probe on flat codes before building tuples.
-        lo = cells.min(axis=0)
-        code = np.ravel_multi_index((cells - lo).T, cells.max(axis=0) - lo + 1)
-        _, first = np.unique(code, return_index=True)
         ids: list[int] = []
-        for cell in map(tuple, cells[first].tolist()):
+        for cell in set(map(tuple, cells.tolist())):
             bucket = self._cells.get(cell)
             if bucket:
                 ids.extend(bucket)
